@@ -36,9 +36,10 @@ Segment bodies by column type:
     ``shared = 0`` at every restart row;
   - non-key ``STRING`` and ``BLOB``: ``[uvarint len][bytes]``.
 
-Restart rows always carry complete values, so :meth:`decode_range` can
+Restart rows always carry complete values, so :meth:`contains_key` can
 binary-search restart points by decoding only key columns and then
-decode just the covering restart span instead of the whole block.
+decode just the key columns of one restart chunk instead of the whole
+block.
 
 v1 blocks carry no version byte; the tablet footer's trailing
 ``block_format`` field (absent in old footers, so absence means v1)
@@ -48,6 +49,7 @@ v2, upgrading old tablets in place over time.
 
 from __future__ import annotations
 
+import bisect
 import struct
 import time
 from typing import Any, List, Optional, Sequence, Tuple
@@ -61,7 +63,7 @@ BLOCK_FORMAT_V1 = 1
 BLOCK_FORMAT_V2 = 2
 
 #: Restart interval: one complete (non-delta, non-prefix-compressed)
-#: row every K rows, the granularity of ``decode_range``.
+#: row every K rows, the granularity of a point probe.
 RESTART_INTERVAL = 16
 
 _INT_TYPES = (ColumnType.INT32, ColumnType.INT64)
@@ -552,10 +554,10 @@ def compiled_ops(schema: Schema) -> _CompiledOps:
 # --------------------------------------------------------------------------
 # generic (interpreted) v2 readers: partial decode paths
 #
-# ``decode_range`` and ``decode_key_columns`` run on small spans (point
-# probes, bloom keys for passed-through blocks), so they stay generic:
-# they share one layout parser and per-type span decoders instead of
-# per-schema generated code.
+# ``contains_key`` and ``decode_key_columns`` read key columns only
+# (point probes, bloom keys for passed-through blocks), so they stay
+# generic: they share one layout parser and per-type span decoders
+# instead of per-schema generated code.
 
 
 class _V2Layout:
@@ -598,27 +600,36 @@ def _parse_v2_layout(buf: bytes, schema: Schema) -> _V2Layout:
 
 def _segment_offsets(buf: bytes, seg: Tuple[int, int],
                      r: int) -> Tuple[List[int], int]:
-    """Parse a var-width segment's restart table.
+    """Parse a var-width segment's restart table in one inline pass.
 
     Returns (restart byte offsets, data start).  Offsets are relative
     to the data start.
     """
     offs_len, p = decode_uvarint(buf, seg[0])
     offs_end = p + offs_len
+    if offs_end > seg[1]:
+        raise CorruptTabletError("bad restart offset table")
     offsets: List[int] = []
-    for _ in range(r):
-        value, p = decode_uvarint(buf, p)
-        offsets.append(value)
-    if p != offs_end:
+    append = offsets.append
+    value = shift = 0
+    for byte in buf[p:offs_end]:
+        if byte > 127:
+            value |= (byte & 127) << shift
+            shift += 7
+        else:
+            append(value | byte << shift)
+            value = shift = 0
+    if shift or len(offsets) != r:
         raise CorruptTabletError("bad restart offset table")
     return offsets, offs_end
 
 
 def _decode_span(buf: bytes, schema: Schema, index: int,
                  layout: _V2Layout, chunk0: int, count: int,
-                 offsets: Optional[List[int]] = None) -> List[Any]:
-    """Decode ``count`` values of one column starting at restart
-    ``chunk0`` (so the first decoded row is ``chunk0 * K``)."""
+                 table: Optional[Tuple[List[int], int]] = None
+                 ) -> List[Any]:
+    """Decode ``count`` values of one column from restart ``chunk0``
+    (row ``chunk0 * K``); ``table`` is its parsed restart table."""
     column = schema.columns[index]
     t = column.type
     seg = layout.segs[index]
@@ -633,10 +644,7 @@ def _decode_span(buf: bytes, schema: Schema, index: int,
             if end > seg[1]:
                 raise CorruptTabletError("bad double column segment")
             return list(struct.unpack(f"<{count}d", buf[start:end]))
-        if offsets is None:
-            offsets, data_start = _segment_offsets(buf, seg, layout.r)
-        else:
-            _, data_start = _segment_offsets(buf, seg, layout.r)
+        offsets, data_start = table or _segment_offsets(buf, seg, layout.r)
         p = data_start + offsets[chunk0]
         row = chunk0 * k
         limit_row = row + count
@@ -706,14 +714,15 @@ def _decode_span(buf: bytes, schema: Schema, index: int,
 
 def _decode_restart_value(buf: bytes, schema: Schema, index: int,
                           layout: _V2Layout, chunk: int,
-                          offsets: List[int]) -> Any:
-    """Decode one column's complete value at restart ``chunk``."""
+                          table: Optional[Tuple[List[int], int]]) -> Any:
+    """Decode one column's complete value at restart ``chunk``
+    (``table`` as for :func:`_decode_span`; None for DOUBLE)."""
     t = schema.columns[index].type
     seg = layout.segs[index]
     if t is ColumnType.DOUBLE:
         start = seg[0] + 8 * chunk * layout.k
         return struct.unpack_from("<d", buf, start)[0]
-    _, data_start = _segment_offsets(buf, seg, layout.r)
+    offsets, data_start = table
     p = data_start + offsets[chunk]
     if t in _INT_TYPES:
         z, _ = decode_uvarint(buf, p)
@@ -744,7 +753,7 @@ class SchemaCodec:
     __slots__ = ("schema", "ops", "validate_and_size", "size_of", "key_of",
                  "encode_row_v1", "_m_rows_encoded", "_m_rows_decoded",
                  "_m_blocks_encoded", "_m_blocks_decoded", "_m_encode_ns",
-                 "_m_decode_ns", "_m_upgraded", "_offsets_cache")
+                 "_m_decode_ns", "_m_upgraded")
 
     def __init__(self, schema: Schema, metrics=None):
         self.schema = schema
@@ -801,88 +810,59 @@ class SchemaCodec:
         self._m_blocks_decoded.inc()
         return columns
 
-    def decode_range(self, buf: bytes,
-                     lo_key: Optional[Tuple[Any, ...]] = None,
-                     hi_prefix: Optional[Tuple[Any, ...]] = None
-                     ) -> Tuple[List[Tuple[Any, ...]],
-                                List[Tuple[Any, ...]], int]:
-        """Decode only the restart spans covering ``[lo_key, hi_prefix]``.
-
-        Binary-searches the restart table (decoding just the restart
-        rows' key columns), then decodes the covering span of every
-        column.  Returns ``(rows, keys, base_row_index)``; callers
-        apply their exact range filter to the returned keys.  ``lo_key``
-        is a full or prefix key tuple (plain tuple comparison);
-        ``hi_prefix`` is a key prefix - rows whose key's leading
-        columns exceed it are outside the range.
+    def decode_range(self, buf: bytes, key: Tuple[Any, ...]
+                     ) -> Tuple[List[Tuple[Any, ...]], int]:
+        """Decode the key columns of the one restart chunk that may
+        hold ``key``: the last restart row <= ``key`` and up to K-1 rows
+        after it, found by a binary search over restart rows with each
+        key column's restart table parsed once.  Returns
+        ``(keys, base_row_index)``; ``keys`` is empty when ``key`` sorts
+        before the block's first row.
         """
         schema = self.schema
         layout = _parse_v2_layout(buf, schema)
-        n, k, r = layout.n, layout.k, layout.r
         key_indexes = schema.key_indexes
-        offsets_by_col = {}
-
-        def offsets_for(index: int) -> List[int]:
-            offs = offsets_by_col.get(index)
-            if offs is None:
-                offs = _segment_offsets(buf, layout.segs[index], r)[0]
-                offsets_by_col[index] = offs
-            return offs
-
-        restart_keys: dict = {}
-
-        def restart_key(chunk: int) -> Tuple[Any, ...]:
-            key = restart_keys.get(chunk)
-            if key is None:
-                key = tuple(
-                    _decode_restart_value(buf, schema, index, layout,
-                                          chunk, offsets_for(index))
-                    for index in key_indexes
-                )
-                restart_keys[chunk] = key
-            return key
-
-        chunk0 = 0
-        if lo_key is not None:
-            lo, hi = 0, r
-            # First restart whose key is > lo_key; the span starts one
-            # chunk earlier (its restart key is <= lo_key).
+        try:
+            tables = [
+                None if schema.columns[index].type is ColumnType.DOUBLE
+                else _segment_offsets(buf, layout.segs[index], layout.r)
+                for index in key_indexes
+            ]
+            lo, hi = 0, layout.r
+            # First restart whose key is > key; the chunk before it is
+            # the only one whose rows can equal key.
             while lo < hi:
                 mid = (lo + hi) // 2
-                if restart_key(mid) > lo_key:
+                if tuple(_decode_restart_value(buf, schema, index, layout,
+                                               mid, table)
+                         for index, table in zip(key_indexes, tables)) > key:
                     hi = mid
                 else:
                     lo = mid + 1
-            chunk0 = max(0, lo - 1)
-        chunk1 = r
-        if hi_prefix is not None:
-            width = len(hi_prefix)
-            lo, hi = chunk0, r
-            # First restart whose key prefix is beyond hi_prefix; rows
-            # from that restart on cannot be in range.
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if restart_key(mid)[:width] > hi_prefix:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            chunk1 = lo
-        row_lo = chunk0 * k
-        row_hi = min(n, chunk1 * k)
-        count = row_hi - row_lo
-        if count <= 0:
-            return [], [], row_lo
+        except (IndexError, ValueError, struct.error) as exc:
+            if isinstance(exc, CorruptTabletError):
+                raise
+            raise CorruptTabletError(f"corrupt v2 block: {exc}") from exc
+        chunk = lo - 1
+        if chunk < 0:
+            return [], 0
+        base = chunk * layout.k
+        count = min(layout.k, layout.n - base)
+        keys = list(zip(*(
+            _decode_span(buf, schema, index, layout, chunk, count, table)
+            for index, table in zip(key_indexes, tables))))
+        return keys, base
+
+    def contains_key(self, buf: bytes, key: Tuple[Any, ...]) -> bool:
+        """Does this v2 block hold exactly ``key``?  (Point probes; the
+        whole call counts toward ``codec.decode_ns``.)"""
         started = time.perf_counter_ns()
-        columns = [
-            _decode_span(buf, schema, index, layout, chunk0, count,
-                         offsets_by_col.get(index))
-            for index in range(len(schema.columns))
-        ]
-        rows = list(zip(*columns))
-        keys = list(zip(*(columns[index] for index in key_indexes)))
+        keys, _base = self.decode_range(buf, key)
+        position = bisect.bisect_left(keys, key)
+        found = position < len(keys) and keys[position] == key
         self._m_decode_ns.inc(time.perf_counter_ns() - started)
-        self._m_rows_decoded.inc(count)
-        return rows, keys, row_lo
+        self._m_rows_decoded.inc(len(keys))
+        return found
 
     def decode_key_columns(self, buf: bytes,
                            include_ts: bool = True) -> List[List[Any]]:

@@ -967,9 +967,10 @@ class TabletReader:
     def probe_key(self, key: Tuple[Any, ...]) -> bool:
         """Does this tablet hold exactly ``key``?  (Duplicate checks.)
 
-        Warm blocks answer from the cache; cold v2 blocks decode only
-        the restart span covering the key via ``decode_range`` and do
-        not pollute the cache.
+        Warm blocks answer from the cache.  Cold v2 blocks go through
+        ``SchemaCodec.contains_key``: one restart-table parse per key
+        column, a binary search over restart rows, and the key columns
+        of one K-row chunk; they do not pollute the cache.
         """
         self.ensure_loaded()
         index = bisect.bisect_left(self._last_keys, key)
@@ -983,9 +984,8 @@ class TabletReader:
             keys = cached.keys
         elif self.block_format == BLOCK_FORMAT_V2:
             payload = self.read_block_payload(index)
-            raw = decompress(self._codec, payload)
-            _rows, keys, _base = self._schema_codec.decode_range(
-                raw, lo_key=key, hi_prefix=key)
+            return self._schema_codec.contains_key(
+                decompress(self._codec, payload), key)
         else:
             _rows, keys = self._scan_block(index)
         position = bisect.bisect_left(keys, key)

@@ -8,8 +8,10 @@ encode/decode functions.  These tests pin down:
   strings, zero-byte blobs);
 * agreement between the compiled v1 row encoder and the reference
   ``RowCodec``;
-* ``decode_range`` returning exactly the rows a brute-force decode
-  and filter would;
+* ``decode_range`` returning exactly the restart chunk of key columns a
+  brute-force search would, and ``contains_key`` finding every stored
+  key and no absent one, while reading only key columns, each restart
+  table once, and at most 2*K values per key column;
 * corrupt or truncated buffers failing with ``CorruptTabletError``
   and nothing else;
 * the checked-in v1 tablet fixture (written before format v2 existed)
@@ -20,16 +22,20 @@ encode/decode functions.  These tests pin down:
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.core.codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, SchemaCodec,
-                              compiled_ops)
+from repro.core.codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2,
+                              RESTART_INTERVAL, SchemaCodec,
+                              _parse_v2_layout, compiled_ops)
 from repro.core.encoding import RowCodec, decode_value
 from repro.core.errors import CorruptTabletError, ValidationError
 from repro.core.schema import Column, ColumnType, Schema
-from repro.core.tablet import TabletReader
+from repro.core.readcache import ReadCache
+from repro.core.row import KeyRange
+from repro.core.tablet import TabletReader, TabletWriter
 from repro.disk import SimulatedDisk
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -111,6 +117,41 @@ def random_rows(rng, schema, count):
     return rows
 
 
+def absent_probes(all_keys):
+    """Keys a block of sorted ``all_keys`` does not hold, by kind.
+
+    Each is a stored key with its ts moved by one: before the first
+    key, after the last, either side of every restart row (strictly
+    between the two rows), every key's prefix with another ts, and
+    keys inside the final (possibly partial) chunk.
+    """
+    stored = set(all_keys)
+    k = RESTART_INTERVAL
+
+    def moved(key, delta):
+        ts = key[-1] + delta
+        probe = key[:-1] + (ts,)
+        return probe if ts >= 0 and probe not in stored else None
+
+    between = []
+    for j in range(k, len(all_keys), k):
+        for probe in (moved(all_keys[j], -1), moved(all_keys[j - 1], 1)):
+            if probe is not None and all_keys[j - 1] < probe < all_keys[j]:
+                between.append(probe)
+    final = (len(all_keys) - 1) // k * k
+    kinds = {
+        "before_first": [moved(all_keys[0], -1)],
+        "after_last": [moved(all_keys[-1], 1)],
+        "between_restarts": between,
+        "other_ts": [moved(key, delta) for key in all_keys
+                     for delta in (-1, 1)],
+        "final_chunk": [moved(key, delta) for key in all_keys[final:]
+                        for delta in (-1, 1)],
+    }
+    return {kind: [p for p in probes if p is not None]
+            for kind, probes in kinds.items()}
+
+
 def values_equal(a, b):
     if isinstance(a, float) and isinstance(b, float):
         if math.isnan(a) and math.isnan(b):
@@ -168,23 +209,183 @@ class TestFuzzRoundtrip:
         rows = random_rows(rng, schema, 200)
         block = codec.encode_rows(rows)
         all_keys = [key_of(r) for r in rows]
-        for _ in range(20):
-            probe = key_of(rows[rng.randrange(len(rows))])
-            width = rng.randint(1, len(probe))
-            lo = probe
-            hi = probe[:width]
-            got_rows, got_keys, base = codec.decode_range(
-                block, lo_key=lo, hi_prefix=hi)
-            want = [(i, k) for i, k in enumerate(all_keys)
-                    if k >= lo and k[:width] <= hi]
-            if want:
-                lo_i, hi_i = want[0][0], want[-1][0]
-                window = list(range(base, base + len(got_keys)))
-                assert set(range(lo_i, hi_i + 1)) <= set(window)
-                for offset, k in enumerate(got_keys):
-                    assert k == all_keys[base + offset]
-                assert rows_equal(got_rows,
-                                  rows[base:base + len(got_rows)])
+        probes = [key_of(rows[rng.randrange(len(rows))]) for _ in range(20)]
+        absent = [probe for group in absent_probes(all_keys).values()
+                  for probe in group]
+        probes += rng.sample(absent, min(40, len(absent)))
+        for probe in probes:
+            got_keys, base = codec.decode_range(block, probe)
+            if probe < all_keys[0]:
+                assert got_keys == []
+                continue
+            # The one restart chunk that can hold the probe, key columns
+            # only: starts at a restart row <= probe and ends before the
+            # next restart row, which is > probe.
+            assert base % RESTART_INTERVAL == 0
+            assert got_keys == all_keys[base:base + RESTART_INTERVAL]
+            assert got_keys[0] <= probe
+            following = base + RESTART_INTERVAL
+            assert following >= len(all_keys) or all_keys[following] > probe
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_contains_key_matches_bruteforce(self, seed):
+        rng = random.Random(0xD00D + seed)
+        schema = random_schema(rng)
+        codec = SchemaCodec(schema)
+        key_of = compiled_ops(schema).key_of
+        rows = random_rows(rng, schema, 200)
+        block = codec.encode_rows(rows)
+        all_keys = [key_of(r) for r in rows]
+        stored = set(all_keys)
+        for key in all_keys:
+            assert codec.contains_key(block, key)
+        absent = absent_probes(all_keys)
+        # 200 rows = 12 full chunks + a partial one; every category but
+        # "before the first key" (impossible when it has ts 0) exists.
+        for kind in ("after_last", "between_restarts", "other_ts",
+                     "final_chunk"):
+            assert absent[kind], kind
+        for kind, probes in absent.items():
+            for probe in probes:
+                assert probe not in stored
+                assert not codec.contains_key(block, probe), (kind, probe)
+
+    @pytest.mark.parametrize("count", [1, 2, RESTART_INTERVAL,
+                                       RESTART_INTERVAL + 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contains_key_small_blocks(self, seed, count):
+        rng = random.Random(0x5EED + seed)
+        schema = random_schema(rng)
+        codec = SchemaCodec(schema)
+        key_of = compiled_ops(schema).key_of
+        rows = random_rows(rng, schema, count)
+        block = codec.encode_rows(rows)
+        all_keys = [key_of(r) for r in rows]
+        for key in all_keys:
+            assert codec.contains_key(block, key)
+        for probes in absent_probes(all_keys).values():
+            for probe in probes:
+                assert not codec.contains_key(block, probe)
+
+
+def usage_block_schema():
+    """UsageGrabber-shaped key plus one value column of every type."""
+    return Schema([
+        Column("network", ColumnType.STRING),
+        Column("device", ColumnType.INT64),
+        Column("ts", ColumnType.TIMESTAMP),
+        Column("counter", ColumnType.INT64),
+        Column("rate", ColumnType.DOUBLE),
+        Column("note", ColumnType.STRING),
+        Column("raw", ColumnType.BLOB),
+    ], key=["network", "device", "ts"])
+
+
+def usage_rows(networks=20, devices=10, samples=10):
+    rows = [(f"net-{net:03d}", dev, 60_000 * (sample + 1) + dev,
+             sample * 7, sample * 0.25, f"note {sample}", b"\x01" * sample)
+            for net in range(networks) for dev in range(devices)
+            for sample in range(samples)]
+    rows.sort(key=lambda row: row[:3])
+    return rows
+
+
+class TestProbeCost:
+    """Structural guard on one ``contains_key`` probe (not a timing
+    gate): counts calls into the generic v2 readers."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import repro.core.codec as codec_module
+
+        reads = {"tables": [], "values": Counter()}
+        real_offsets = codec_module._segment_offsets
+        real_span = codec_module._decode_span
+        real_restart = codec_module._decode_restart_value
+
+        def segment_offsets(buf, seg, r):
+            reads["tables"].append(seg)
+            return real_offsets(buf, seg, r)
+
+        def decode_span(buf, schema, index, *args):
+            values = real_span(buf, schema, index, *args)
+            reads["values"][index] += len(values)
+            return values
+
+        def decode_restart_value(buf, schema, index, *args):
+            reads["values"][index] += 1
+            return real_restart(buf, schema, index, *args)
+
+        monkeypatch.setattr(codec_module, "_segment_offsets",
+                            segment_offsets)
+        monkeypatch.setattr(codec_module, "_decode_span", decode_span)
+        monkeypatch.setattr(codec_module, "_decode_restart_value",
+                            decode_restart_value)
+        return reads
+
+    def test_one_probe_reads_one_chunk_of_key_columns(self, reads):
+        schema = usage_block_schema()
+        codec = SchemaCodec(schema)
+        rows = usage_rows()
+        assert len(rows) == 2000
+        block = codec.encode_rows(rows)
+        layout = _parse_v2_layout(block, schema)
+        key_indexes = schema.key_indexes
+        key_segs = {layout.segs[i] for i in key_indexes}
+        all_keys = [row[:3] for row in rows]
+        absent = [probe for group in absent_probes(all_keys).values()
+                  for probe in group]
+        probes = all_keys[::97] + [all_keys[-1]] + absent[::50]
+        for probe in probes:
+            reads["tables"].clear()
+            reads["values"].clear()
+            assert codec.contains_key(block, probe) == (probe in all_keys)
+            # Each key column's restart table is parsed at most once...
+            assert len(reads["tables"]) == len(set(reads["tables"]))
+            # ...and no non-key column segment is read at all.
+            assert set(reads["tables"]) <= key_segs
+            assert set(reads["values"]) <= set(key_indexes)
+            # Binary search (~log2(R) restart values) plus one chunk.
+            for index in key_indexes:
+                assert reads["values"][index] <= 2 * RESTART_INTERVAL
+
+
+class TestProbeKey:
+    """``TabletReader.probe_key`` over multi-block v2 tablets."""
+
+    def _reader(self, cache):
+        disk = SimulatedDisk()
+        writer = TabletWriter(disk, usage_block_schema(), 2048, "zlib", 10)
+        rows = usage_rows(networks=6)
+        writer.write("t/probe.lt", rows, tablet_id=1, created_at=0)
+        reader = TabletReader(disk, "t/probe.lt", cache=cache)
+        reader.ensure_loaded()
+        assert reader.block_format == BLOCK_FORMAT_V2
+        assert reader.block_count > 3
+        return reader, [row[:3] for row in rows]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_probe_key_cold_and_warm(self, warm):
+        cache = ReadCache(1 << 24 if warm else 0)
+        reader, all_keys = self._reader(cache)
+        if warm:
+            list(reader.scan(KeyRange.all()))
+            assert cache.entry_count == reader.block_count
+        stored = set(all_keys)
+        for key in all_keys:
+            assert reader.probe_key(key)
+        for probes in absent_probes(all_keys).values():
+            for probe in probes:
+                assert probe not in stored
+                assert not reader.probe_key(probe)
+        assert not reader.probe_key(("net-999", 0, 0))
+
+    def test_cold_probes_bypass_the_read_cache(self):
+        cache = ReadCache(1 << 24)
+        reader, all_keys = self._reader(cache)
+        for key in all_keys[::7]:
+            assert reader.probe_key(key)
+        assert cache.entry_count == 0
 
 
 class TestBoundaryValues:
@@ -286,6 +487,33 @@ class TestCorruption:
             except CorruptTabletError:
                 pass
 
+    def test_contains_key_truncations_and_bit_flips(self):
+        codec, block = self._block()
+        key = ("host-3", 1003)
+        assert codec.contains_key(block, key)
+        for cut in list(range(0, 40)) + [len(block) // 2, len(block) - 1]:
+            with pytest.raises(CorruptTabletError):
+                codec.contains_key(block[:cut], key)
+        rng = random.Random(43)
+        for _ in range(300):
+            pos = rng.randrange(len(block))
+            mutated = bytearray(block)
+            mutated[pos] ^= 1 << rng.randrange(8)
+            try:
+                codec.contains_key(bytes(mutated), key)
+            except CorruptTabletError:
+                pass
+
+    def test_contains_key_bad_restart_offset_table(self):
+        codec, block = self._block()
+        layout = _parse_v2_layout(block, codec.schema)
+        host_seg = layout.segs[0][0]
+        mutated = bytearray(block)
+        mutated[host_seg] += 1  # offs_len one byte too long
+        with pytest.raises(CorruptTabletError,
+                           match="bad restart offset table"):
+            codec.contains_key(bytes(mutated), ("host-3", 1003))
+
     def test_decode_value_truncated_length_prefix(self):
         # decode_value must turn an over-long length prefix into
         # CorruptTabletError before slicing.
@@ -330,7 +558,6 @@ class TestV1Compat:
         schema = load_fixture_schema()
         assert reader.schema.to_dict() == schema.to_dict()
         expected = load_fixture_rows(schema)
-        from repro.core.row import KeyRange
         got = list(reader.scan(KeyRange.all()))
         assert rows_equal(got, expected)
 
